@@ -1,7 +1,7 @@
 //! Criterion benches for end-to-end compilation throughput (the latency
-//! dimension of Fig. 16) and for the design-choice ablations DESIGN.md
-//! calls out: synthesis threshold `m_th` and the near-identity mirroring
-//! threshold `r`.
+//! dimension of Fig. 16) and for two design-choice ablations: the
+//! synthesis threshold `m_th` and the near-identity mirroring threshold
+//! `r`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use reqisc_benchsuite::generators::{qaoa, ripple_add};

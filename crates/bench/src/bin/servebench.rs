@@ -1,7 +1,7 @@
 //! Measures the compile *service* end to end: per-request latency
-//! (submit → response) and throughput through the full staged pipeline
-//! (submission ring → lookup → solve ring → workers → completion ring),
-//! cold versus warm.
+//! (submit → response) and throughput through the whole service
+//! (admission with its warm probe → solve queue → solve workers →
+//! delivery), cold versus warm.
 //!
 //! Four passes over `programs × {ReqiscEff, ReqiscFull}`:
 //!
@@ -16,9 +16,9 @@
 //!   the batch — expect p50/p99 well above the serial tier's;
 //! * **mixed** — a batch of never-seen cold variants is submitted first
 //!   and NOT awaited, then every warm request rides through the
-//!   congested service serially. The staged-pipeline proof is the stage
-//!   counters, not wall time: the warm requests must all short-circuit
-//!   in the lookup stage (`lookup_hits` delta == warm count) and never
+//!   congested service serially. The proof is the stage counters, not
+//!   wall time: the warm requests must all be answered at admission
+//!   (`lookup_hits` delta == warm count) and never
 //!   be claimed by a solve worker (`solve_claimed` delta == cold count);
 //! * **shared_warm** (only when `REQISC_SHM_PATH` is set) — a *second*
 //!   service instance with no store and cold local pools attaches the
@@ -35,7 +35,6 @@
 //! * `REQISC_BENCH_N=<k>` — cap the program count (default 24);
 //! * `REQISC_SERVE_WORKERS=<n>` — solve worker pool size (default
 //!   hardware);
-//! * `REQISC_SERVE_LOOKUP_WORKERS=<n>` — lookup-stage workers (default 1);
 //! * `REQISC_CACHE_DIR=<dir>` — persist/load the store in `<dir>` (the
 //!   service loads it at startup, so a second run starts disk-warm);
 //! * `REQISC_SHM_PATH=<file>` / `REQISC_SHM_CAPACITY_BYTES=<n>` — attach
@@ -113,7 +112,6 @@ fn main() {
     let shm_capacity_bytes = env::SHM_CAPACITY_BYTES.u64_or(reqisc_service::DEFAULT_SHM_CAPACITY_BYTES);
     let service = Service::start(ServiceConfig {
         workers,
-        lookup_workers: env::SERVE_LOOKUP_WORKERS.usize_or(1),
         cache_dir: env_cache_dir(),
         shm_path: shm_path.clone(),
         shm_capacity_bytes,
@@ -192,12 +190,12 @@ fn main() {
     }
     tiers.push(row("warm_pipelined", &mut lat, t0.elapsed().as_secs_f64()));
 
-    // Pass 4: mixed cold/warm — the staged-pipeline proof. A full batch
+    // Pass 4: mixed cold/warm — the warm-fast-path proof. A full batch
     // of never-seen cold variants (each program plus one extra uniquely
     // parameterised gate, so every content hash is a true miss) is
     // submitted and NOT awaited; the warm requests then ride through the
     // congested service serially. Counters, not wall time, carry the
-    // claim: every warm request must short-circuit in the lookup stage,
+    // claim: every warm request must be answered at admission,
     // and only the cold variants may be claimed by solve workers.
     let s0 = service.stats_snapshot();
     let cold_variants: Vec<(Arc<Circuit>, Pipeline)> = jobs
@@ -285,7 +283,6 @@ fn main() {
     if let Some(shm) = shm_path {
         let peer = Service::start(ServiceConfig {
             workers,
-            lookup_workers: env::SERVE_LOOKUP_WORKERS.usize_or(1),
             shm_path: Some(shm),
             shm_capacity_bytes,
             queue_capacity: (2 * jobs.len()).max(256),
@@ -318,7 +315,7 @@ fn main() {
         );
         assert_eq!(
             ps.stages.lookup_hits, n,
-            "every shared-warm request must short-circuit in the lookup stage"
+            "every shared-warm request must be answered warm at admission"
         );
         assert_eq!(
             sh.hits, n,

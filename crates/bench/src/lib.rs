@@ -2,8 +2,7 @@
 //! # reqisc-bench
 //!
 //! The benchmark harness: every table and figure of the paper's evaluation
-//! (§6) has one binary here that regenerates its rows/series (see
-//! DESIGN.md's experiment index and EXPERIMENTS.md for paper-vs-measured).
+//! (§6) has one binary here that regenerates its rows/series.
 //!
 //! Binaries: `table1`, `table2`, `table3`, `fig4`, `fig6`, `fig12`,
 //! `fig13`, `fig14`, `fig15`, `fig16`. All print CSV-ish text to stdout.
@@ -25,7 +24,7 @@ pub mod env {
         BENCH_GIT_REV, BENCH_JSON, BENCH_N, CACHE_DIR, HAAR_SAMPLES, REQUIRE_DEGENERATE_BUDGET,
         REQUIRE_DISK_WARM_X, REQUIRE_GENERIC_BUDGET, REQUIRE_PROGRAM_HIT_PCT,
         REQUIRE_SLIVER_BUDGET, REQUIRE_ZERO_REJECT_EVALS, REQUIRE_ZERO_WARM_SOLVES, SCALE,
-        SERVE_LOOKUP_WORKERS, SERVE_WORKERS, SHM_CAPACITY_BYTES, SHM_PATH, SKIP_SERIAL, THREADS,
+        SERVE_WORKERS, SHM_CAPACITY_BYTES, SHM_PATH, SKIP_SERIAL, THREADS,
         TRIALS,
     };
 

@@ -2,8 +2,9 @@
 //!
 //! The paper's suite comes from RevLib / the TKet benchmarking repository;
 //! these generators rebuild the same program *families* from their
-//! published definitions (see DESIGN.md "Substitutions"). Every generator
-//! is deterministic given its parameters.
+//! published definitions, so program sizes and gate mixes follow the
+//! paper's categories rather than its exact files. Every generator is
+//! deterministic given its parameters.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

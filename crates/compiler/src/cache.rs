@@ -133,7 +133,7 @@ impl CompileCache {
     /// (see [`ShardedMap::probe`]): a present entry counts a hit and
     /// returns; an absent one counts nothing, leaving the miss to the
     /// eventual [`Compiler::compile`](crate::Compiler::compile) that does
-    /// the cold work. The service's pipeline lookup stage is the caller.
+    /// the cold work. The service's admission probe is the caller.
     pub(crate) fn probe_program(&self, key: &ProgramKey) -> Option<Arc<Circuit>> {
         self.programs.probe(key)
     }

@@ -181,7 +181,7 @@ impl Compiler {
     /// pool hit, entry marked most-recently-used); absence counts
     /// **nothing** and returns `None`, leaving the miss accounting to the
     /// [`Compiler::compile`] call that eventually does the cold work.
-    /// This is the service pipeline's lookup stage entry point — it must
+    /// This is the service's admission-probe entry point — it must
     /// never synthesize, solve, or otherwise block, and its counters must
     /// compose with a later `compile` to exactly one hit *or* one miss
     /// per job.

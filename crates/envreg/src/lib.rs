@@ -125,12 +125,6 @@ pub const SERVE_WORKERS: EnvKnob = EnvKnob {
     doc: "servebench service worker-pool size (default 0 = hardware parallelism)",
 };
 
-/// Lookup-stage worker count of the pipelined service core.
-pub const SERVE_LOOKUP_WORKERS: EnvKnob = EnvKnob {
-    name: "REQISC_SERVE_LOOKUP_WORKERS",
-    doc: "Pipeline lookup-stage worker count for reqiscd and servebench (default 1)",
-};
-
 /// Deterministic cold-solve stall for the stall-isolation tests.
 pub const DEBUG_SOLVE_DELAY_MS: EnvKnob = EnvKnob {
     name: "REQISC_DEBUG_SOLVE_DELAY_MS",
@@ -194,7 +188,7 @@ pub const REQUIRE_ZERO_REJECT_EVALS: EnvKnob = EnvKnob {
 /// CI assertion: warm jobs must never traverse the solve stage.
 pub const REQUIRE_ZERO_WARM_SOLVES: EnvKnob = EnvKnob {
     name: "REQISC_REQUIRE_ZERO_WARM_SOLVES",
-    doc: "servebench mixed-tier assertion: set = every warm request must short-circuit in the lookup stage (zero warm solve claims)",
+    doc: "servebench mixed-tier assertion: set = every warm request must be answered warm at admission (zero warm solve claims)",
 };
 
 /// Every declared knob, in the order the README table presents them.
@@ -208,7 +202,6 @@ pub const ALL: &[&EnvKnob] = &[
     &BENCH_N,
     &THREADS,
     &SERVE_WORKERS,
-    &SERVE_LOOKUP_WORKERS,
     &DEBUG_SOLVE_DELAY_MS,
     &BENCH_JSON,
     &BENCH_GIT_REV,

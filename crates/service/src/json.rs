@@ -5,9 +5,18 @@
 //! `\uXXXX`, numbers, booleans, null), which is all a line-delimited
 //! protocol needs.
 //!
+//! Nesting is capped at [`MAX_DEPTH`] arrays/objects: the parser
+//! recurses once per level, and a request line of a million `[` would
+//! otherwise overflow the connection thread's stack — an abort that
+//! `catch_unwind` cannot contain.
+//!
 //! Numbers are carried as `f64`. Every counter the protocol transports is
 //! far below 2⁵³, so round-trips are exact; 128-bit fingerprints travel
 //! as hex *strings* for the same reason.
+
+/// Deepest array/object nesting [`Json::parse`] accepts; deeper input is
+/// an ordinary parse error.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value. Object member order is preserved (emission is
 /// deterministic, which the protocol tests rely on).
@@ -53,7 +62,7 @@ impl Json {
     /// [`JsonError`] on malformed input.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser { bytes, pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -196,6 +205,8 @@ fn emit_string(t: &str, s: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -224,8 +235,15 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -438,6 +456,15 @@ mod tests {
         assert_eq!(Json::num_u64(12345).emit(), "12345");
         assert_eq!(Json::Num(1.5).emit(), "1.5");
         assert_eq!(Json::Num(f64::NAN).emit(), "null");
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok(), "the limit itself is accepted");
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).expect_err("one past the limit");
+        assert!(err.message.contains("nesting"), "{err}");
+        assert!(Json::parse(&"{\"a\":".repeat(1_000_000)).is_err(), "no stack overflow");
     }
 
     #[test]

@@ -12,13 +12,13 @@
 //!
 //! The subsystem owns:
 //!
-//! * a **staged pipeline core** ([`service`]): submission ring → lookup
-//!   stage (warm hits short-circuit straight to the completion ring) →
-//!   solve ring → solve workers → completion ring → dispatcher, so a
-//!   warm hit never queues behind a cold solve;
-//! * **bounded priority rings** with non-blocking admission control
-//!   ([`queue`], [`ring`]) — overload rejects with `queue_full`, never
-//!   stalls the accept loop;
+//! * **admission plus one solve queue** ([`service`]): submission probes
+//!   the warm tiers inline and answers a hit at once, so a warm hit never
+//!   queues behind a cold solve; only misses enter the solve queue, and
+//!   the solve workers deliver their results;
+//! * a **bounded priority queue** with non-blocking admission control
+//!   ([`queue`]) — overload rejects with `queue_full`, never stalls the
+//!   accept loop;
 //! * **in-flight request coalescing** keyed by `(circuit content hash,
 //!   pipeline, options fingerprint)` — N identical concurrent requests
 //!   cost one compile and N responses ([`service`]);
@@ -47,7 +47,6 @@
 pub mod json;
 pub mod protocol;
 pub mod queue;
-pub mod ring;
 pub mod server;
 pub mod service;
 pub mod sync;
@@ -57,8 +56,7 @@ pub use protocol::{
     parse_request, CompileSource, Request, RequestBody, RingCounters as StageRingCounters,
     ServiceCounters, SharedCounters, StageCounters, StatsSnapshot,
 };
-pub use queue::{JobQueue, Priority, QueueFull, RingStats, TryPop, DEFAULT_PRIORITY, MAX_PRIORITY};
-pub use ring::FifoRing;
+pub use queue::{JobQueue, Priority, QueueFull, RingStats, DEFAULT_PRIORITY, MAX_PRIORITY};
 pub use server::{serve_lines, ServeOutcome};
 #[cfg(unix)]
 pub use server::serve_unix;

@@ -149,8 +149,8 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 
 /// Builds a successful compile response. `done_seq` is the service's
 /// global completion sequence number — the deterministic order handle
-/// the stall-isolation tests assert with (warm short-circuits must get
-/// lower numbers than the cold solves they overtook).
+/// the stall-isolation tests assert with (warm hits must get lower
+/// numbers than the cold solves they overtook).
 pub fn compile_response(
     id: u64,
     fingerprint: u128,
@@ -210,50 +210,54 @@ pub struct ServiceCounters {
     pub cancelled: u64,
     /// Store snapshots (plain saves and compactions) taken.
     pub snapshots: u64,
-    /// Jobs queued right now (gauge, not a counter).
+    /// Jobs in the solve queue right now (gauge, not a counter).
     pub queue_depth: u64,
 }
 
-/// Transit counters of one pipeline ring, as reported in the `stages`
-/// member of the `stats` JSON. `dequeued` counts every entry that left
-/// the ring — claimed by a stage worker or removed by cancellation — so
+/// Transit counters of one queue, as reported in the `stages` member
+/// of the `stats` JSON. `dequeued` counts every entry that left the
+/// queue — claimed by a worker or removed by cancellation — so
 /// `enqueued == dequeued + depth` always holds at a quiescent snapshot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RingCounters {
-    /// Entries accepted into the ring.
+    /// Entries accepted into the queue.
     pub enqueued: u64,
-    /// Entries that left the ring (claimed or cancelled).
+    /// Entries that left the queue (claimed or cancelled).
     pub dequeued: u64,
     /// Entries resident right now (gauge).
     pub depth: u64,
-    /// Total in-ring residence of claimed entries, microseconds
+    /// Total in-queue residence of claimed entries, microseconds
     /// (informational wall-clock — never CI-asserted).
     pub wait_us: u64,
 }
 
-/// Per-stage counters of the pipelined service core: the three rings'
-/// transit counters plus the stage-transition scalars. The load-bearing
+/// Per-stage counters of the service core: the solve queue's transit
+/// counters plus the admission and delivery scalars. The load-bearing
 /// deterministic invariants (what the stall-isolation test and the mixed
 /// servebench tier assert): a warm workload moves `lookup_hits` and
 /// **not** `solve_claimed`; `delivered == completed + failed`; and every
-/// admitted compile job ends in exactly one of `lookup_hits`,
-/// `lookup_misses`, or `cancelled`.
+/// admitted, non-coalesced compile submission counts under exactly one
+/// of `lookup_hits` or `lookup_misses`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageCounters {
-    /// The submission ring (everything submitted lands here first).
+    /// Always zero: the service has no submission ring. Kept so the
+    /// `stats` JSON shape stays stable for existing readers.
     pub submission: RingCounters,
-    /// The solve ring (true misses and debug ops only).
+    /// The solve queue (true misses and debug ops only).
     pub solve: RingCounters,
-    /// The completion ring (warm hits + solved jobs, FIFO to delivery).
+    /// Always zero: the service has no completion ring (results are
+    /// delivered directly). Kept so the `stats` JSON shape stays stable
+    /// for existing readers.
     pub completion: RingCounters,
-    /// Compile jobs the lookup stage short-circuited on a warm pool hit
-    /// (these never entered the solve stage).
+    /// Compile submissions answered warm at admission, from the local
+    /// pool or the shared segment (these never entered the solve queue).
     pub lookup_hits: u64,
-    /// Compile jobs the lookup stage forwarded to the solve ring.
+    /// Compile submissions that missed both warm tiers and were queued
+    /// for a solve.
     pub lookup_misses: u64,
     /// Jobs (of any kind) claimed by a solve worker.
     pub solve_claimed: u64,
-    /// Completions the dispatcher delivered.
+    /// Outcomes delivered to waiters (warm hits, solves, debug ops).
     pub delivered: u64,
 }
 
@@ -263,8 +267,8 @@ pub struct StageCounters {
 /// 0` — warm across processes with zero duplicate solves.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharedCounters {
-    /// Lookup-stage probes answered by the shared segment (each is also
-    /// a `lookup_hits` warm short-circuit; `hits <= lookup_hits`).
+    /// Admission probes answered by the shared segment (each is also a
+    /// `lookup_hits` warm hit; `hits <= lookup_hits`).
     pub hits: u64,
     /// Entries this daemon newly appended to the segment.
     pub published: u64,
@@ -286,7 +290,7 @@ pub struct SharedCounters {
 pub struct StatsSnapshot {
     /// Service-level queue/coalescing counters.
     pub service: ServiceCounters,
-    /// Per-stage pipeline counters.
+    /// Solve-queue, admission and delivery counters.
     pub stages: StageCounters,
     /// Compile-cache pool counters.
     pub cache: CompileCacheStats,

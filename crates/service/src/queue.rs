@@ -40,20 +40,20 @@ impl std::fmt::Display for QueueFull {
 
 impl std::error::Error for QueueFull {}
 
-/// Monotone transit counters of one ring, as reported under the `stages`
+/// Monotone transit counters of a queue, as reported under the `stages`
 /// member of the service's `stats` JSON. `dequeued` counts every entry
-/// that *left* the ring — popped by a stage worker or removed by ticket
-/// cancellation — so `enqueued == dequeued` exactly when the ring is
-/// empty. `wait_us` accumulates in-ring residence time (microseconds) of
-/// popped entries only; it is informational (wall-clock) and never
+/// that *left* the queue — popped by a worker or removed by ticket
+/// cancellation — so `enqueued == dequeued` exactly when the queue is
+/// empty. `wait_us` accumulates in-queue residence time (microseconds)
+/// of popped entries only; it is informational (wall-clock) and never
 /// CI-asserted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RingStats {
-    /// Entries accepted into the ring.
+    /// Entries accepted into the queue.
     pub enqueued: u64,
-    /// Entries that left the ring (popped or cancelled).
+    /// Entries that left the queue (popped or cancelled).
     pub dequeued: u64,
-    /// Total in-ring residence of popped entries, microseconds.
+    /// Total in-queue residence of popped entries, microseconds.
     pub wait_us: u64,
 }
 
@@ -72,16 +72,6 @@ impl RingCounters {
             wait_us: self.wait_us.load(Ordering::Relaxed),
         }
     }
-}
-
-/// Outcome of a non-blocking [`JobQueue::try_pop`].
-pub enum TryPop<T> {
-    /// A job, with the (possibly boosted) priority it was queued at.
-    Job(T, Priority),
-    /// Nothing queued right now; the queue is still open.
-    Empty,
-    /// Closed and drained — the stage-worker exit signal.
-    Closed,
 }
 
 struct Entry<T> {
@@ -142,7 +132,7 @@ impl<T> JobQueue<T> {
         }
     }
 
-    /// Snapshot of this ring's transit counters (see [`RingStats`]).
+    /// Snapshot of this queue's transit counters (see [`RingStats`]).
     pub fn ring_stats(&self) -> RingStats {
         self.counters.snapshot()
     }
@@ -172,11 +162,6 @@ impl<T> JobQueue<T> {
         Ok(())
     }
 
-    fn record_pop(&self, at: Instant) {
-        self.counters.dequeued.fetch_add(1, Ordering::Relaxed);
-        self.counters.wait_us.fetch_add(at.elapsed().as_micros() as u64, Ordering::Relaxed);
-    }
-
     /// Blocking worker pop: returns the highest-priority job, waiting for
     /// one if none is queued. Returns `None` once the queue is closed
     /// *and* drained — the worker-exit signal.
@@ -185,41 +170,14 @@ impl<T> JobQueue<T> {
         loop {
             if let Some(e) = st.heap.pop() {
                 drop(st);
-                self.record_pop(e.at);
+                self.counters.dequeued.fetch_add(1, Ordering::Relaxed);
+                let waited = e.at.elapsed().as_micros() as u64;
+                self.counters.wait_us.fetch_add(waited, Ordering::Relaxed);
                 return Some(e.item);
             }
             if st.closed {
                 return None;
             }
-            st = crate::sync::wait_recover(&self.available, st);
-        }
-    }
-
-    /// Non-blocking pop for a stage worker that must hold another lock
-    /// across the claim (the pipeline's lookup stage holds the inflight
-    /// map): returns the job *with the priority it was queued at* so the
-    /// claimer can forward it downstream at the same priority, or reports
-    /// [`TryPop::Empty`] / [`TryPop::Closed`] without waiting.
-    pub fn try_pop(&self) -> TryPop<T> {
-        let mut st = self.state.lock_recover();
-        if let Some(e) = st.heap.pop() {
-            drop(st);
-            self.record_pop(e.at);
-            return TryPop::Job(e.item, e.priority);
-        }
-        if st.closed {
-            TryPop::Closed
-        } else {
-            TryPop::Empty
-        }
-    }
-
-    /// Blocks until the queue is non-empty or closed (without popping) —
-    /// the companion a [`JobQueue::try_pop`] loop parks on once it has
-    /// released whatever other lock it held across the claim.
-    pub fn wait_nonempty(&self) {
-        let mut st = self.state.lock_recover();
-        while st.heap.is_empty() && !st.closed {
             st = crate::sync::wait_recover(&self.available, st);
         }
     }
@@ -268,7 +226,7 @@ impl<T> JobQueue<T> {
         st.heap = kept.into();
         drop(st);
         if removed {
-            // A cancelled entry left the ring: count the departure (but
+            // A cancelled entry left the queue: count the departure (but
             // no wait time — it was never claimed by a worker).
             self.counters.dequeued.fetch_add(1, Ordering::Relaxed);
         }

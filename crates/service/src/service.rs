@@ -1,40 +1,37 @@
-//! The resident compile service, structured as a staged pipeline
-//! (CXLMemUring's async-offload-with-completion-queue idiom applied to
-//! compile serving):
+//! The resident compile service: admission plus one solve queue.
 //!
 //! ```text
-//!  submit ──► submission ring ──► lookup stage ──► solve ring ──► solve workers
-//!                (bounded,          (probe the       (bounded,      (catch_unwind
-//!                 priority)          program pool)    priority)      compile)
-//!                                        │ warm hit                     │
-//!                                        ▼                              ▼
-//!                                   completion ring (FIFO) ◄────────────┘
-//!                                        │
-//!                                        ▼
-//!                                   dispatcher (assigns done_seq, counts
-//!                                   completed/failed, wakes the waiters)
+//!                  ┌─ coalesce onto an in-flight key ──► (waits for that job)
+//!  submit_compile ─┼─ warm hit: local pool, then shared segment ──► deliver
+//!  (inflight lock) └─ miss ──► solve queue ──► solve workers ──► deliver
+//!                              (bounded,        (catch_unwind      (inflight
+//!                               priority)        compile)           lock)
 //! ```
 //!
-//! The lookup stage probes the whole-program pool without ever
-//! synthesizing or solving (DAXFS's reader-never-blocks-writer
-//! discipline): a **warm hit short-circuits straight to the completion
-//! ring** and never touches the solve stage, so a warm response can
-//! never queue behind a concurrent cold solve. Only true misses cross
-//! into the solve ring, where the expensive workers run the pipeline
-//! (filling the synthesis/pulse pools that make the *next* miss of the
-//! same blocks cheaper). A single dispatcher drains the completion ring
-//! in FIFO order, assigns the global `done_seq` at delivery time, and
-//! wakes every coalesced waiter — which makes completion order exactly
-//! delivery order, deterministically.
+//! [`Service::submit_compile`] decides a request's fate inside one
+//! inflight-lock critical section: it attaches to an identical in-flight
+//! job, or answers a warm hit at once, or queues a true miss for the
+//! solve workers. The warm probe never synthesizes or solves, so it is
+//! cheap enough to run at admission: a warm response never waits behind
+//! a cold solve, and never costs a queue slot. Only misses reach the
+//! expensive workers, which run the pipeline (filling the
+//! synthesis/pulse pools that make the *next* miss of the same blocks
+//! cheaper) and publish the result to the shared segment outside the
+//! lock.
+//!
+//! ## Delivery
+//!
+//! Warm hits, solve completions and debug ops all leave through one
+//! delivery helper, always called with the inflight lock held. It
+//! assigns the global `done_seq`, counts `completed`/`failed`, and wakes
+//! every waiter. Since the lock serializes deliveries, `done_seq` order
+//! is exactly delivery order.
 //!
 //! ## Admission
 //!
-//! The bounded capacity is enforced by one `in_system` gauge counting
-//! jobs admitted but not yet claimed (by a solve worker), warm-served,
-//! or cancelled — physically such a job sits in the submission ring, the
-//! lookup stage's hand, or the solve ring. Because solve-ring occupancy
-//! can never exceed `in_system`, the stage-to-stage transfer can never
-//! reject, and the `queue_depth` gauge keeps its pre-pipeline meaning.
+//! The bound is the solve queue's capacity, and `queue_depth` is its
+//! depth: jobs admitted but not yet claimed by a solve worker or
+//! cancelled. Coalesced requests and warm hits occupy no slot.
 //!
 //! ## Coalescing
 //!
@@ -44,34 +41,29 @@
 //! submission enqueues, the rest attach to the in-flight entry and all N
 //! receive the one result. (A request arriving *after* the job completed
 //! is not coalesced; it is a plain warm hit.) A duplicate hotter than
-//! the queued original boosts the queued job — in whichever ring it
-//! currently sits — so coalescing never inverts the priority contract.
+//! the queued original boosts the queued job, so coalescing never
+//! inverts the priority contract.
 //!
 //! ## Cancellation
 //!
-//! Every ticket carries a waiter guard: dropping the last ticket
-//! attached to a still-ringed job removes the job from its ring
-//! (freeing its admission slot) and counts it under `cancelled`. The
-//! inflight lock is held across the lookup stage's entire
-//! claim-and-route transfer *and* across the guard's removal, so at any
-//! instant under that lock a compile job is in exactly one place — the
-//! cancellation race between the rings does not exist. A job already
-//! claimed by a solve worker (or already warm-served onto the
-//! completion ring) is past cancellation and completes with nobody
-//! waiting.
+//! Every queued compile's ticket carries a waiter guard: dropping the
+//! last ticket attached to a still-queued job removes the job from the
+//! solve queue (freeing its slot) and counts it under `cancelled`. The
+//! guard removes the waiter and the queue entry under the inflight lock,
+//! the same lock admission queues under, so a racing same-key
+//! resubmission can never slip into the gap. A job already claimed by a
+//! solve worker is past cancellation and completes with nobody waiting.
 //!
 //! ## Failure isolation
 //!
 //! A panicking pipeline (or the gated debug `panic` op) is caught per
-//! job in the solve worker: the dispatcher delivers an error to every
-//! attached waiter, the `failed` counter ticks, and the worker survives
-//! to take the next job.
+//! job in the solve worker: every attached waiter gets an error, the
+//! `failed` counter ticks, and the worker survives to take the next job.
 
 use crate::protocol::{
     CompileSource, RingCounters, ServiceCounters, SharedCounters, StageCounters, StatsSnapshot,
 };
-use crate::queue::{JobQueue, Priority, QueueFull, RingStats, TryPop};
-use crate::ring::FifoRing;
+use crate::queue::{JobQueue, Priority, QueueFull};
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::{Condvar, LockRecover, Mutex};
 use reqisc_compiler::{
@@ -90,12 +82,13 @@ use std::time::Duration;
 /// Service construction options.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Solve-stage worker-pool size; `0` = the available hardware
+    /// Solve worker-pool size; `0` = the available hardware
     /// parallelism (the same resolution rule as
     /// [`Compiler::block_threads`]).
     pub workers: usize,
-    /// Bounded admission capacity (jobs in the system, across both
-    /// rings); submissions beyond it reject immediately.
+    /// Bounded admission capacity: the solve queue's size. Cold
+    /// submissions beyond it reject immediately; coalesced requests and
+    /// warm hits need no slot.
     pub queue_capacity: usize,
     /// Persistent store directory (`None` = in-memory only). The store
     /// is loaded before the first worker starts and flushed on shutdown.
@@ -114,11 +107,6 @@ pub struct ServiceConfig {
     pub debug_ops: bool,
     /// Bounds on QASM accepted at the service boundary.
     pub parse_limits: ParseLimits,
-    /// Lookup-stage worker count (`0` = 1). One is almost always right —
-    /// the stage only probes the program pool — but the knob exists for
-    /// probe-heavy deployments (`REQISC_SERVE_LOOKUP_WORKERS` at the
-    /// daemon/bench level).
-    pub lookup_workers: usize,
     /// Artificial delay (milliseconds) a solve worker sleeps before each
     /// *cold compile* it claims — the deterministic stall the
     /// stall-isolation tests inject; debug ops are unaffected. `None`
@@ -126,9 +114,9 @@ pub struct ServiceConfig {
     /// or `0` = no delay).
     pub solve_delay_ms: Option<u64>,
     /// Shared-memory cache segment to attach (`None` = no shared tier).
-    /// The lookup stage probes it between the local pool and a cold
-    /// solve; solve workers publish every finished program into it, so
-    /// every daemon attached to the same file hits instantly.
+    /// Admission probes it between the local pool and a cold solve;
+    /// solve workers publish every finished program into it, so every
+    /// daemon attached to the same file hits instantly.
     pub shm_path: Option<PathBuf>,
     /// Capacity used if the segment file does not exist yet (an
     /// existing valid segment keeps its own).
@@ -149,7 +137,6 @@ impl Default for ServiceConfig {
             pool_shape: None,
             debug_ops: false,
             parse_limits: ParseLimits::default(),
-            lookup_workers: 1,
             solve_delay_ms: None,
             shm_path: None,
             shm_capacity_bytes: DEFAULT_SHM_CAPACITY_BYTES,
@@ -160,7 +147,7 @@ impl Default for ServiceConfig {
 /// Why a submission was not admitted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The system is at admission capacity (or the service is draining).
+    /// The solve queue is at capacity (or the service is draining).
     QueueFull(QueueFull),
     /// The request itself is unusable (unknown bench name, QASM parse
     /// failure, over-limit input, gated debug op).
@@ -180,8 +167,8 @@ impl std::error::Error for SubmitError {}
 
 /// A finished job's payload: the compiled circuit (compile jobs; `None`
 /// for debug ops) plus a global completion sequence number (monotone —
-/// the queue-semantics tests assert ordering through it). Assigned by
-/// the dispatcher at delivery time, so `done_seq` order *is* delivery
+/// the queue-semantics tests assert ordering through it). Assigned at
+/// delivery under the inflight lock, so `done_seq` order *is* delivery
 /// order.
 #[derive(Debug, Clone)]
 pub struct JobDone {
@@ -195,7 +182,7 @@ pub struct JobDone {
 pub type JobResult = Result<JobDone, String>;
 
 /// A claim on one submitted job's result. Dropping a ticket without
-/// waiting detaches its waiter; when the *last* waiter of a still-ringed
+/// waiting detaches its waiter; when the *last* waiter of a still-queued
 /// job detaches, the job is cancelled (see the module docs).
 #[derive(Debug)]
 pub struct Ticket {
@@ -203,7 +190,7 @@ pub struct Ticket {
     /// True when this submission attached to an already-in-flight
     /// identical job instead of occupying an admission slot.
     pub coalesced: bool,
-    /// Detaches this waiter on drop (compile jobs only).
+    /// Detaches this waiter on drop (queued or coalesced compile jobs).
     _guard: Option<WaiterGuard>,
 }
 
@@ -227,9 +214,10 @@ impl Ticket {
 }
 
 /// Removes one waiter from its job's coalesced waiter set on drop; the
-/// last waiter out cancels the job if it still sits in a ring. Waiter
-/// ids are globally unique, so a guard outliving its job (or racing a
-/// same-key resubmission) can never detach someone else's waiter.
+/// last waiter out cancels the job if it still sits in the solve queue.
+/// Waiter ids are globally unique, so a guard outliving its job (or
+/// racing a same-key resubmission) can never detach someone else's
+/// waiter.
 struct WaiterGuard {
     inner: Arc<Inner>,
     key: JobKey,
@@ -245,30 +233,22 @@ impl std::fmt::Debug for WaiterGuard {
 impl Drop for WaiterGuard {
     fn drop(&mut self) {
         let mut inflight = self.inner.inflight.lock_recover();
-        let Some(waiters) = inflight.get_mut(&self.key) else {
+        let Some(waiters) = inflight.waiters.get_mut(&self.key) else {
             return; // job already delivered (or cancelled by a peer)
         };
         waiters.retain(|(id, _)| *id != self.id);
         if !waiters.is_empty() {
             return; // other waiters still want the result
         }
-        inflight.remove(&self.key);
-        // Last waiter gone: pull the job out of whichever ring still
-        // holds it. (A job claimed by a solve worker — or already
-        // warm-served onto the completion ring — is past cancellation
-        // and completes normally with nobody listening; that window is
-        // unavoidable and harmless.) The inflight lock is deliberately
-        // held across both removals — the same inflight→ring order the
-        // lookup stage's transfer and `submit_compile` use — so neither
-        // a racing same-key resubmission nor the lookup stage moving the
-        // job between rings can slip into the gap: under this lock the
-        // job is in exactly one place.
-        let key = self.key;
-        let is_ours = move |job: &Job| matches!(job, Job::Compile { key: k, .. } if *k == key);
-        if self.inner.submission.remove_first(is_ours) || self.inner.solve.remove_first(is_ours)
-        {
+        inflight.waiters.remove(&self.key);
+        // Last waiter gone: pull the job out of the solve queue. (A job
+        // claimed by a solve worker is past cancellation and completes
+        // normally with nobody listening; that window is unavoidable and
+        // harmless.) The inflight lock is deliberately held across the
+        // removal — the same inflight→queue order `submit_compile` uses —
+        // so a racing same-key resubmission cannot slip into the gap.
+        if self.inner.solve.remove_first(is_job(self.key)) {
             self.inner.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-            self.inner.release();
         }
         drop(inflight);
     }
@@ -289,18 +269,18 @@ enum Job {
     Panic { tx: mpsc::Sender<JobResult> },
 }
 
-/// Who a posted completion is for.
-enum CompletionTarget {
-    /// Every waiter registered under this in-flight key.
-    Key(JobKey),
-    /// The one direct waiter of a debug op.
-    Direct(mpsc::Sender<JobResult>),
+/// Matches the queued compile job of `key` (boost and cancel target).
+fn is_job(key: JobKey) -> impl Fn(&Job) -> bool {
+    move |job| matches!(job, Job::Compile { key: k, .. } if *k == key)
 }
 
-/// One finished (or warm-served) job on its way to the dispatcher.
-struct Completion {
-    target: CompletionTarget,
-    outcome: Result<Option<Arc<Circuit>>, String>,
+/// What the inflight lock guards: the waiters of every queued or running
+/// compile job, and the delivery sequence counter. Keeping `done_seq`
+/// here means it can only be assigned with the lock held.
+#[derive(Default)]
+struct Inflight {
+    waiters: HashMap<JobKey, Vec<(u64, mpsc::Sender<JobResult>)>>,
+    done_seq: u64,
 }
 
 #[derive(Default)]
@@ -338,17 +318,17 @@ impl SharedAtomics {
     }
 }
 
-/// Per-stage transit counters (the scalar half of the `stages` member of
-/// the `stats` JSON; the rings report their own enqueue/dequeue/wait).
+/// The scalar half of the `stats` JSON's `stages` member (the solve
+/// queue reports its own enqueue/dequeue/wait).
 #[derive(Default)]
 struct StageAtomics {
-    /// Compile jobs the lookup stage short-circuited on a warm pool hit.
+    /// Compile submissions answered warm at admission.
     lookup_hits: AtomicU64,
-    /// Compile jobs the lookup stage forwarded to the solve ring.
+    /// Compile submissions queued for a solve.
     lookup_misses: AtomicU64,
     /// Jobs (of any kind) claimed by a solve worker.
     solve_claimed: AtomicU64,
-    /// Completions the dispatcher delivered (== completed + failed).
+    /// Outcomes delivered (== completed + failed).
     delivered: AtomicU64,
 }
 
@@ -362,24 +342,15 @@ struct Inner {
     /// shutdown); the store itself is only torn-write-safe, not
     /// merge-atomic, within one process.
     store_lock: Mutex<()>,
-    /// Stage 1 input: everything submitted lands here first.
-    submission: JobQueue<Job>,
-    /// Stage 2 input: true misses (and debug ops) forwarded by lookup.
+    /// True misses and debug ops, drained by the solve workers; its
+    /// capacity is the admission bound.
     solve: JobQueue<Job>,
-    /// Stage 3 input: warm hits and solved jobs, drained FIFO by the
-    /// dispatcher.
-    completions: FifoRing<Completion>,
-    /// Jobs admitted but not yet claimed/warm-served/cancelled — the
-    /// single gauge admission control and `queue_depth` run on.
-    in_system: AtomicU64,
-    capacity: usize,
-    inflight: Mutex<HashMap<JobKey, Vec<(u64, mpsc::Sender<JobResult>)>>>,
+    inflight: Mutex<Inflight>,
     /// The shared-memory cache segment (`None` = no shared tier).
     shared: Option<Segment>,
     shared_stats: SharedAtomics,
     counters: Counters,
     stage: StageAtomics,
-    done_seq: AtomicU64,
     waiter_seq: AtomicU64,
     gc_max_idle_gens: Option<u64>,
     debug_ops: bool,
@@ -392,51 +363,13 @@ struct Inner {
 }
 
 impl Inner {
-    /// Claims one admission slot; `false` when the system is at capacity.
-    fn admit(&self) -> bool {
-        self.in_system
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                (n < self.capacity as u64).then_some(n + 1)
-            })
-            .is_ok()
-    }
-
-    /// Returns one admission slot (claim, warm short-circuit, or cancel).
-    fn release(&self) {
-        self.in_system.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// The lookup stage: claims jobs off the submission ring and routes
-    /// them — warm compile hits short-circuit to the completion ring,
-    /// everything else crosses into the solve ring. Exits when the
-    /// submission ring is closed and drained.
-    fn lookup_loop(&self) {
-        loop {
-            // The inflight lock spans the whole claim-and-route transfer
-            // so ticket cancellation (which removes ring entries under
-            // the same lock) always finds a job in exactly one place —
-            // never "popped here but not yet pushed there".
-            let inflight = self.inflight.lock_recover();
-            match self.submission.try_pop() {
-                TryPop::Job(job, priority) => {
-                    self.route(job, priority);
-                    drop(inflight);
-                }
-                TryPop::Closed => return,
-                TryPop::Empty => {
-                    drop(inflight);
-                    self.submission.wait_nonempty();
-                }
-            }
-        }
-    }
-
     /// Probes the two warm tiers for a compile key: the local program
     /// pool first, then the shared segment (seeding the local pool on a
     /// segment hit, so the *next* probe of this key never leaves the
     /// process). A segment hit counts under both `lookup_hits` (it is a
-    /// warm short-circuit like any other) and `shared.hits` (which tier
-    /// answered); `shared.hits <= lookup_hits` always.
+    /// warm hit like any other) and `shared.hits` (which tier answered);
+    /// `shared.hits <= lookup_hits` always. A miss is counted by the
+    /// eventual solve's `compile`, not by the probe.
     fn probe_tiers(&self, key: &JobKey) -> Option<Arc<Circuit>> {
         if let Some(hit) = self.compiler.lookup_program(key.circuit, key.pipeline, key.options) {
             return Some(hit);
@@ -453,143 +386,94 @@ impl Inner {
         Some(hit)
     }
 
-    /// Routes one claimed job (inflight lock held by the caller): a warm
-    /// probe hit — local pool or shared segment — completes immediately;
-    /// a miss — counted by the eventual solve-stage `compile`, not the
-    /// probe — forwards at the job's original (possibly boosted)
-    /// priority.
-    fn route(&self, job: Job, priority: Priority) {
-        match job {
-            Job::Compile { key, circuit, pipeline } => {
-                if let Some(hit) = self.probe_tiers(&key) {
-                    self.stage.lookup_hits.fetch_add(1, Ordering::Relaxed);
-                    self.release();
-                    self.completions.push_completion(Completion {
-                        target: CompletionTarget::Key(key),
-                        outcome: Ok(Some(hit)),
-                    });
-                } else {
-                    self.stage.lookup_misses.fetch_add(1, Ordering::Relaxed);
-                    if self
-                        .solve
-                        .try_push(Job::Compile { key, circuit, pipeline }, priority)
-                        .is_err()
-                    {
-                        // Unreachable by accounting: the solve ring's
-                        // capacity equals the admission bound and it is
-                        // closed only after this stage joins. Degrade to
-                        // an error response rather than stranding waiters.
-                        self.release();
-                        self.completions.push_completion(Completion {
-                            target: CompletionTarget::Key(key),
-                            outcome: Err("solve stage unavailable".into()),
-                        });
-                    }
-                }
+    /// The one delivery path, for warm hits, solve completions and debug
+    /// ops alike. Taking the locked [`Inflight`] means every delivery is
+    /// serialized by the inflight lock, so `done_seq` order is delivery
+    /// order.
+    fn deliver(
+        &self,
+        inflight: &mut Inflight,
+        waiters: impl IntoIterator<Item = mpsc::Sender<JobResult>>,
+        outcome: Result<Option<Arc<Circuit>>, String>,
+    ) {
+        inflight.done_seq += 1;
+        let result: JobResult = match outcome {
+            Ok(circuit) => {
+                self.counters.completed.fetch_add(1, Ordering::Relaxed);
+                Ok(JobDone { circuit, done_seq: inflight.done_seq })
             }
-            debug_job => {
-                // Debug ops always traverse the full pipeline (they model
-                // cold work). On the unreachable push failure the job —
-                // and with it the direct sender — is dropped, which the
-                // waiter observes as service termination.
-                let _ = self.solve.try_push(debug_job, priority);
+            Err(msg) => {
+                self.counters.failed.fetch_add(1, Ordering::Relaxed);
+                Err(msg)
             }
+        };
+        self.stage.delivered.fetch_add(1, Ordering::Relaxed);
+        for tx in waiters {
+            // A waiter that dropped its ticket is not an error.
+            let _ = tx.send(result.clone());
         }
     }
 
-    /// A solve worker: claims forwarded jobs, runs the expensive compile
-    /// under `catch_unwind`, posts the outcome to the completion ring.
+    /// A solve worker: claims queued jobs, runs the expensive compile
+    /// under `catch_unwind` and publishes it with no lock held, then
+    /// delivers under the inflight lock.
     fn solve_loop(&self) {
         while let Some(job) = self.solve.pop() {
             self.stage.solve_claimed.fetch_add(1, Ordering::Relaxed);
-            self.release();
-            match job {
+            let (key, direct, outcome) = match job {
                 Job::Compile { key, circuit, pipeline } => {
-                    if let Some(delay) = self.solve_delay {
-                        // The deterministic cold-solve stall the
-                        // stall-isolation tests inject (debug ops and the
-                        // lookup stage are unaffected by design).
-                        std::thread::sleep(delay);
-                    }
-                    let out = catch_unwind(AssertUnwindSafe(|| {
-                        self.compiler.compile(&circuit, pipeline)
-                    }));
-                    let outcome = match out {
-                        Ok(c) => {
-                            let c = Arc::new(c);
-                            // Publish at completion: every daemon on the
-                            // box sees this solve as a warm hit from now
-                            // on. A `Duplicate` means a peer solved the
-                            // same key concurrently — their entry is
-                            // byte-identical, so losing the race is free.
-                            if let Some(seg) = &self.shared {
-                                self.shared_stats.absorb(sharing::publish_program(
-                                    seg,
-                                    key.circuit,
-                                    key.pipeline,
-                                    key.options,
-                                    &c,
-                                ));
-                            }
-                            Ok(Some(c))
-                        }
-                        Err(p) => Err(format!("compile panicked: {}", panic_message(&p))),
-                    };
-                    self.completions
-                        .push_completion(Completion { target: CompletionTarget::Key(key), outcome });
+                    (Some(key), None, self.solve_compile(&key, &circuit, pipeline))
                 }
                 Job::Sleep { ms, tx } => {
                     std::thread::sleep(Duration::from_millis(ms));
-                    self.completions.push_completion(Completion {
-                        target: CompletionTarget::Direct(tx),
-                        outcome: Ok(None),
-                    });
+                    (None, Some(tx), Ok(None))
                 }
                 Job::Panic { tx } => {
                     // A *real* panic through the same isolation path real
                     // pipeline panics take — the poisoned-job drill.
                     let out = catch_unwind(|| panic!("debug panic op"));
                     debug_assert!(out.is_err());
-                    self.completions.push_completion(Completion {
-                        target: CompletionTarget::Direct(tx),
-                        outcome: Err("compile panicked: debug panic op".into()),
-                    });
+                    (None, Some(tx), Err("compile panicked: debug panic op".into()))
                 }
-            }
+            };
+            let mut inflight = self.inflight.lock_recover();
+            let waiters = key.and_then(|k| inflight.waiters.remove(&k)).unwrap_or_default();
+            let waiters = waiters.into_iter().map(|(_, tx)| tx).chain(direct);
+            self.deliver(&mut inflight, waiters, outcome);
+            drop(inflight);
         }
     }
 
-    /// The dispatcher: drains the completion ring in FIFO order, assigns
-    /// the global `done_seq`, counts `completed`/`failed`, and wakes the
-    /// waiters. Single-threaded by construction, so delivery order and
-    /// `done_seq` order coincide exactly.
-    fn dispatch_loop(&self) {
-        while let Some(done) = self.completions.pop_completion() {
-            let done_seq = self.done_seq.fetch_add(1, Ordering::Relaxed) + 1;
-            let result: JobResult = match done.outcome {
-                Ok(circuit) => {
-                    self.counters.completed.fetch_add(1, Ordering::Relaxed);
-                    Ok(JobDone { circuit, done_seq })
-                }
-                Err(msg) => {
-                    self.counters.failed.fetch_add(1, Ordering::Relaxed);
-                    Err(msg)
-                }
-            };
-            self.stage.delivered.fetch_add(1, Ordering::Relaxed);
-            match done.target {
-                CompletionTarget::Key(key) => {
-                    let waiters = self.inflight.lock_recover().remove(&key).unwrap_or_default();
-                    for (_, tx) in waiters {
-                        // A waiter that dropped its ticket is not an error.
-                        let _ = tx.send(result.clone());
-                    }
-                }
-                CompletionTarget::Direct(tx) => {
-                    let _ = tx.send(result);
-                }
-            }
+    /// One cold compile: the optional injected stall, the pipeline under
+    /// `catch_unwind`, and the publish to the shared segment.
+    fn solve_compile(
+        &self,
+        key: &JobKey,
+        circuit: &Circuit,
+        pipeline: Pipeline,
+    ) -> Result<Option<Arc<Circuit>>, String> {
+        if let Some(delay) = self.solve_delay {
+            // The deterministic cold-solve stall the stall-isolation
+            // tests inject (debug ops and warm hits are unaffected by
+            // design).
+            std::thread::sleep(delay);
         }
+        let out = catch_unwind(AssertUnwindSafe(|| self.compiler.compile(circuit, pipeline)));
+        let c = Arc::new(out.map_err(|p| format!("compile panicked: {}", panic_message(&p)))?);
+        // Publish at completion: every daemon on the box sees this solve
+        // as a warm hit from now on. A `Duplicate` means a peer solved
+        // the same key concurrently — their entry is byte-identical, so
+        // losing the race is free.
+        if let Some(seg) = &self.shared {
+            self.shared_stats.absorb(sharing::publish_program(
+                seg,
+                key.circuit,
+                key.pipeline,
+                key.options,
+                &c,
+            ));
+        }
+        Ok(Some(c))
     }
 
     /// One snapshot: a compacting save when GC is configured, else plain.
@@ -658,13 +542,10 @@ fn panic_message(p: &Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// The running service (see module docs). Dropping it shuts down
-/// gracefully: drain every stage in order, join the threads, flush the
-/// store.
+/// gracefully: drain the solve queue, join the workers, flush the store.
 pub struct Service {
     inner: Arc<Inner>,
-    lookup_workers: Mutex<Vec<reqisc_sched::thread::JoinHandle<()>>>,
     workers: Mutex<Vec<reqisc_sched::thread::JoinHandle<()>>>,
-    dispatcher: Mutex<Option<reqisc_sched::thread::JoinHandle<()>>>,
     timer: Mutex<Option<reqisc_sched::thread::JoinHandle<()>>>,
     stopped: AtomicBool,
     startup_load: Option<LoadOutcome>,
@@ -697,7 +578,6 @@ impl Service {
         } else {
             config.workers
         };
-        let lookup_workers = config.lookup_workers.max(1);
         let solve_delay = config
             .solve_delay_ms
             .or_else(|| match reqisc_env::DEBUG_SOLVE_DELAY_MS.usize_or(0) {
@@ -729,7 +609,7 @@ impl Service {
             // Only the sub-program pools seed eagerly: synthesis/pulse
             // entries are consulted deep inside a cold solve (no segment
             // probe there), while whole-program entries stay in the
-            // segment for the lookup stage's probe tier to answer.
+            // segment for the admission probe to answer.
             let seeded = sharing::seed_subprogram_pools(seg, compiler.cache());
             shared_stats.seeded.store(seeded as u64, Ordering::Relaxed);
         }
@@ -739,17 +619,12 @@ impl Service {
             options_fp,
             store,
             store_lock: Mutex::new(()),
-            submission: JobQueue::new(config.queue_capacity),
             solve: JobQueue::new(config.queue_capacity),
-            completions: FifoRing::new(),
-            in_system: AtomicU64::new(0),
-            capacity: config.queue_capacity,
-            inflight: Mutex::new(HashMap::new()),
+            inflight: Mutex::new(Inflight::default()),
             shared,
             shared_stats,
             counters: Counters::default(),
             stage: StageAtomics::default(),
-            done_seq: AtomicU64::new(0),
             waiter_seq: AtomicU64::new(0),
             gc_max_idle_gens: config.gc_max_idle_gens,
             debug_ops: config.debug_ops,
@@ -765,16 +640,6 @@ impl Service {
                 reqisc_sched::thread::spawn(move || inner.solve_loop())
             })
             .collect();
-        let lookup_handles = (0..lookup_workers)
-            .map(|_| {
-                let inner = inner.clone();
-                reqisc_sched::thread::spawn(move || inner.lookup_loop())
-            })
-            .collect();
-        let dispatcher = {
-            let inner = inner.clone();
-            reqisc_sched::thread::spawn(move || inner.dispatch_loop())
-        };
         let timer = config.snapshot_interval.map(|interval| {
             let inner = inner.clone();
             reqisc_sched::thread::spawn(move || {
@@ -797,9 +662,7 @@ impl Service {
         });
         Self {
             inner,
-            lookup_workers: Mutex::new(lookup_handles),
             workers: Mutex::new(solve_handles),
-            dispatcher: Mutex::new(Some(dispatcher)),
             timer: Mutex::new(timer),
             stopped: AtomicBool::new(false),
             startup_load,
@@ -839,66 +702,56 @@ impl Service {
         }
     }
 
-    /// Submits one compile job (see the module docs for coalescing and
-    /// admission semantics).
+    /// Submits one compile job (see the module docs for coalescing,
+    /// warm hits and admission).
     ///
     /// # Errors
     ///
-    /// [`SubmitError::QueueFull`] when admission control rejects.
+    /// [`SubmitError::QueueFull`] when a cold job finds the solve queue
+    /// full or closed.
     pub fn submit_compile(
         &self,
         circuit: Arc<Circuit>,
         pipeline: Pipeline,
         priority: Priority,
     ) -> Result<Ticket, SubmitError> {
-        let key = JobKey {
-            circuit: circuit.content_hash(),
-            pipeline,
-            options: self.inner.options_fp,
-        };
+        let inner = &self.inner;
+        let key = JobKey { circuit: circuit.content_hash(), pipeline, options: inner.options_fp };
         let (tx, rx) = mpsc::channel();
-        let waiter_id = self.inner.waiter_seq.fetch_add(1, Ordering::Relaxed);
-        let guard = Some(WaiterGuard { inner: self.inner.clone(), key, id: waiter_id });
-        // The inflight lock spans the ring push so neither the lookup
-        // stage's transfer nor the dispatcher's waiter collection can
-        // interleave between "ringed" and "registered".
-        let mut inflight = self.inner.inflight.lock_recover();
-        if let Some(waiters) = inflight.get_mut(&key) {
+        let waiter_id = inner.waiter_seq.fetch_add(1, Ordering::Relaxed);
+        let guard = || Some(WaiterGuard { inner: inner.clone(), key, id: waiter_id });
+        // One critical section decides the request's fate, so neither a
+        // delivery nor a cancellation can interleave between "queued"
+        // and "registered".
+        let mut inflight = inner.inflight.lock_recover();
+        if let Some(waiters) = inflight.waiters.get_mut(&key) {
             waiters.push((waiter_id, tx));
             // A more urgent duplicate must not wait at the original
-            // submission's priority: raise the ringed job to match,
-            // wherever it currently sits (a no-op if the job already
-            // runs or was ringed hotter).
-            let is_ours =
-                move |job: &Job| matches!(job, Job::Compile { key: k, .. } if *k == key);
-            if !self.inner.submission.boost(is_ours, priority) {
-                self.inner.solve.boost(is_ours, priority);
-            }
-            self.inner.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-            self.inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
-            return Ok(Ticket { rx, coalesced: true, _guard: guard });
+            // submission's priority: raise the queued job to match (a
+            // no-op if the job already runs or was queued hotter).
+            inner.solve.boost(is_job(key), priority);
+            inner.counters.coalesced.fetch_add(1, Ordering::Relaxed);
+            inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
+            return Ok(Ticket { rx, coalesced: true, _guard: guard() });
         }
-        if !self.inner.admit() {
-            self.inner.counters.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
-            return Err(SubmitError::QueueFull(QueueFull { capacity: self.inner.capacity }));
+        if let Some(hit) = inner.probe_tiers(&key) {
+            inner.stage.lookup_hits.fetch_add(1, Ordering::Relaxed);
+            inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
+            inner.deliver(&mut inflight, [tx], Ok(Some(hit)));
+            return Ok(Ticket { rx, coalesced: false, _guard: None });
         }
-        match self.inner.submission.try_push(Job::Compile { key, circuit, pipeline }, priority) {
-            Ok(()) => {
-                inflight.insert(key, vec![(waiter_id, tx)]);
-                self.inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(Ticket { rx, coalesced: false, _guard: guard })
-            }
-            Err(full) => {
-                // Only reachable when the ring is closed (draining):
-                // undo the admission and reject like a full queue.
-                self.inner.release();
-                self.inner.counters.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
-                Err(SubmitError::QueueFull(full))
-            }
+        if let Err(full) = inner.solve.try_push(Job::Compile { key, circuit, pipeline }, priority) {
+            inner.counters.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
+            return Err(SubmitError::QueueFull(full));
         }
+        inflight.waiters.insert(key, vec![(waiter_id, tx)]);
+        inner.stage.lookup_misses.fetch_add(1, Ordering::Relaxed);
+        inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        Ok(Ticket { rx, coalesced: false, _guard: guard() })
     }
 
-    /// Submits a gated debug op (`sleep`/`panic`).
+    /// Submits a gated debug op (`sleep`/`panic`) straight to the solve
+    /// queue.
     ///
     /// # Errors
     ///
@@ -913,21 +766,12 @@ impl Service {
             DebugOp::Sleep { ms } => Job::Sleep { ms, tx },
             DebugOp::Panic => Job::Panic { tx },
         };
-        if !self.inner.admit() {
+        if let Err(full) = self.inner.solve.try_push(job, priority) {
             self.inner.counters.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
-            return Err(SubmitError::QueueFull(QueueFull { capacity: self.inner.capacity }));
+            return Err(SubmitError::QueueFull(full));
         }
-        match self.inner.submission.try_push(job, priority) {
-            Ok(()) => {
-                self.inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(Ticket { rx, coalesced: false, _guard: None })
-            }
-            Err(full) => {
-                self.inner.release();
-                self.inner.counters.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
-                Err(SubmitError::QueueFull(full))
-            }
-        }
+        self.inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        Ok(Ticket { rx, coalesced: false, _guard: None })
     }
 
     /// Metrics of a compiled circuit under the evaluation's XY coupling —
@@ -940,6 +784,8 @@ impl Service {
     pub fn stats_snapshot(&self) -> StatsSnapshot {
         let c = &self.inner.counters;
         let st = &self.inner.stage;
+        let solve = self.inner.solve.ring_stats();
+        let depth = self.queue_depth() as u64;
         StatsSnapshot {
             service: ServiceCounters {
                 submitted: c.submitted.load(Ordering::Relaxed),
@@ -949,18 +795,17 @@ impl Service {
                 rejected_queue_full: c.rejected_queue_full.load(Ordering::Relaxed),
                 cancelled: c.cancelled.load(Ordering::Relaxed),
                 snapshots: c.snapshots.load(Ordering::Relaxed),
-                queue_depth: self.inner.in_system.load(Ordering::Relaxed),
+                queue_depth: depth,
             },
             stages: StageCounters {
-                submission: ring_counters(
-                    self.inner.submission.ring_stats(),
-                    self.inner.submission.len(),
-                ),
-                solve: ring_counters(self.inner.solve.ring_stats(), self.inner.solve.len()),
-                completion: ring_counters(
-                    self.inner.completions.ring_stats(),
-                    self.inner.completions.len(),
-                ),
+                submission: RingCounters::default(),
+                solve: RingCounters {
+                    enqueued: solve.enqueued,
+                    dequeued: solve.dequeued,
+                    depth,
+                    wait_us: solve.wait_us,
+                },
+                completion: RingCounters::default(),
                 lookup_hits: st.lookup_hits.load(Ordering::Relaxed),
                 lookup_misses: st.lookup_misses.load(Ordering::Relaxed),
                 solve_claimed: st.solve_claimed.load(Ordering::Relaxed),
@@ -983,11 +828,10 @@ impl Service {
         }
     }
 
-    /// Jobs in the system right now: admitted, not yet claimed by a
-    /// solve worker, warm-served, or cancelled (the same meaning the
-    /// pre-pipeline single queue's depth had).
+    /// Jobs in the solve queue right now: admitted, not yet claimed by
+    /// a solve worker or cancelled.
     pub fn queue_depth(&self) -> usize {
-        self.inner.in_system.load(Ordering::Relaxed) as usize
+        self.inner.solve.len()
     }
 
     /// Forces a store snapshot now (plain save, no GC).
@@ -1029,29 +873,18 @@ impl Service {
         self.inner.shutdown_requested.store(true, Ordering::Release);
     }
 
-    /// Graceful shutdown, stage by stage: stop admitting, drain the
-    /// submission ring through the lookup stage, drain the solve ring
-    /// through the workers, drain the completion ring through the
-    /// dispatcher, join the snapshot timer, then flush the store. Each
-    /// stage's input is closed only after the upstream stage has been
-    /// joined, so a job in flight *anywhere* is either delivered or (if
-    /// every waiter already left) cleanly cancelled — never stranded.
-    /// Idempotent.
+    /// Graceful shutdown: close the solve queue (new cold jobs reject),
+    /// let the workers drain and deliver what is queued, join them and
+    /// the snapshot timer, then flush the store. A queued job is either
+    /// delivered or (if every waiter already left) cleanly cancelled —
+    /// never stranded. Idempotent.
     pub fn shutdown(&self) {
         if self.stopped.swap(true, Ordering::AcqRel) {
             return;
         }
         self.request_shutdown();
-        self.inner.submission.close();
-        for h in self.lookup_workers.lock_recover().drain(..) {
-            let _ = h.join();
-        }
         self.inner.solve.close();
         for h in self.workers.lock_recover().drain(..) {
-            let _ = h.join();
-        }
-        self.inner.completions.close();
-        if let Some(h) = self.dispatcher.lock_recover().take() {
             let _ = h.join();
         }
         let (lock, cv) = &self.inner.timer_stop;
@@ -1063,15 +896,6 @@ impl Service {
         if let Err(e) = self.inner.snapshot(None) {
             eprintln!("# reqisc-service: shutdown store flush failed: {e}");
         }
-    }
-}
-
-fn ring_counters(rs: RingStats, depth: usize) -> RingCounters {
-    RingCounters {
-        enqueued: rs.enqueued,
-        dequeued: rs.dequeued,
-        depth: depth as u64,
-        wait_us: rs.wait_us,
     }
 }
 

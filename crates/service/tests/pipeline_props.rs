@@ -1,26 +1,21 @@
-//! Property tests of the staged pipeline's ring and stage semantics:
+//! Property tests of the service's queue and delivery semantics:
 //!
-//! * the submission/solve ring ([`JobQueue`]) model-checked under
-//!   arbitrary push/pop/boost/cancel interleavings — priority-then-FIFO
-//!   order survives every sequence, and the transit counters balance;
-//! * the completion ring ([`FifoRing`]) model-checked as a strict FIFO
-//!   with close-drop semantics;
+//! * the solve queue ([`JobQueue`]) model-checked under arbitrary
+//!   push/pop/boost/cancel interleavings — priority-then-FIFO order
+//!   survives every sequence, and the transit counters balance;
 //! * the assembled service under random warm submit/coalesce/cancel
 //!   interleavings — no completion is ever lost, no coalesced ticket is
 //!   ever double-responded, and the admission accounting closes exactly.
 //!
 //! Determinism note (single-core container): nothing here asserts wall
-//! time. The queue/ring checks are single-threaded model checks; the
-//! service check asserts counter conservation laws that hold for *every*
-//! legal interleaving of the pipeline stages.
+//! time. The queue check is a single-threaded model check; the service
+//! check asserts counter conservation laws that hold for *every* legal
+//! interleaving of admission and the solve workers.
 
 use proptest::prelude::*;
 use reqisc_compiler::{Compiler, Pipeline};
 use reqisc_qcircuit::{Circuit, Gate};
-use reqisc_service::{
-    DebugOp, FifoRing, JobQueue, Priority, Service, ServiceConfig, TryPop, DEFAULT_PRIORITY,
-};
-use std::collections::VecDeque;
+use reqisc_service::{DebugOp, JobQueue, Priority, Service, ServiceConfig, DEFAULT_PRIORITY};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -63,7 +58,7 @@ fn park_worker(service: &Service, ms: u64) -> reqisc_service::Ticket {
     t
 }
 
-/// The reference model of one ring entry: priority, admission sequence,
+/// The reference model of one queue entry: priority, admission sequence,
 /// unique tag. The queue must always surface the maximum by
 /// (priority desc, sequence asc).
 #[derive(Debug, Clone, Copy)]
@@ -87,7 +82,7 @@ fn model_best(model: &[ModelEntry]) -> usize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The bounded priority ring against its reference model: arbitrary
+    /// The bounded priority queue against its reference model: arbitrary
     /// interleavings of push (admission-capped), pop, boost (the hot
     /// coalesced-duplicate path), and remove (ticket cancellation) keep
     /// strict priority-then-FIFO order, and the transit counters balance
@@ -120,19 +115,17 @@ proptest! {
                     }
                 }
                 // Pop: must surface the model's (priority desc, seq asc)
-                // maximum, with the priority it was queued (or boosted) at.
-                4 | 5 => match q.try_pop() {
-                    TryPop::Job(tag, at) => {
-                        prop_assert!(!model.is_empty(), "popped from an empty model");
-                        let best = model_best(&model);
-                        let e = model.remove(best);
-                        prop_assert_eq!(tag, e.tag, "pop order diverged from the model");
-                        prop_assert_eq!(at, e.priority, "claimed priority diverged");
+                // maximum. Only pop when the model is non-empty: `pop`
+                // blocks on an open empty queue by design.
+                4 | 5 => {
+                    if model.is_empty() {
+                        prop_assert!(q.is_empty(), "model empty, queue is not");
+                    } else {
+                        let e = model.remove(model_best(&model));
+                        prop_assert_eq!(q.pop(), Some(e.tag), "pop order diverged from the model");
                         left += 1;
                     }
-                    TryPop::Empty => prop_assert!(model.is_empty(), "queue empty, model is not"),
-                    TryPop::Closed => prop_assert!(false, "queue reported closed before close()"),
-                },
+                }
                 // Boost: raise one queued entry (never lower it); the
                 // entry keeps its sequence number.
                 6 | 7 => {
@@ -164,70 +157,31 @@ proptest! {
             prop_assert_eq!(q.len(), model.len(), "depth diverged from the model");
         }
         // Drain: the survivors surface in exact priority-then-FIFO order,
-        // then the closed ring reports Closed, and the counters balance.
+        // then the closed queue reports None, and the counters balance.
         q.close();
-        loop {
-            match q.try_pop() {
-                TryPop::Job(tag, at) => {
-                    prop_assert!(!model.is_empty());
-                    let e = model.remove(model_best(&model));
-                    prop_assert_eq!(tag, e.tag, "drain order diverged from the model");
-                    prop_assert_eq!(at, e.priority);
-                    left += 1;
-                }
-                TryPop::Closed => break,
-                TryPop::Empty => prop_assert!(false, "closed queue must report Closed, not Empty"),
-            }
+        while let Some(tag) = q.pop() {
+            prop_assert!(!model.is_empty(), "drained more entries than the model holds");
+            let e = model.remove(model_best(&model));
+            prop_assert_eq!(tag, e.tag, "drain order diverged from the model");
+            left += 1;
         }
         prop_assert!(model.is_empty(), "entries lost in the drain");
         let rs = q.ring_stats();
         prop_assert_eq!(rs.enqueued, pushed);
         prop_assert_eq!(rs.dequeued, left, "every departure (pop or cancel) must be counted");
-        prop_assert_eq!(rs.enqueued, rs.dequeued, "drained ring must balance");
-    }
-
-    /// The completion ring is a strict FIFO: arbitrary push/pop
-    /// interleavings deliver in exact arrival order (the invariant that
-    /// makes `done_seq` assignment deterministic), nothing is lost, and
-    /// pushes after close are dropped — not delivered, not counted.
-    #[test]
-    fn fifo_ring_matches_its_model(ops in proptest::collection::vec((0u8..3, 0u64..100), 1..50)) {
-        let ring: FifoRing<u64> = FifoRing::new();
-        let mut model: VecDeque<u64> = VecDeque::new();
-        let mut accepted = 0u64;
-        for &(sel, val) in &ops {
-            if sel < 2 {
-                prop_assert!(ring.push_completion(val), "open ring must accept");
-                model.push_back(val);
-                accepted += 1;
-            } else if let Some(front) = model.pop_front() {
-                // Only pop when the model is non-empty: pop_completion
-                // blocks on an open empty ring by design.
-                prop_assert_eq!(ring.pop_completion(), Some(front), "FIFO order violated");
-            }
-            prop_assert_eq!(ring.len(), model.len());
-        }
-        ring.close();
-        prop_assert!(!ring.push_completion(999), "closed ring must drop pushes");
-        while let Some(front) = model.pop_front() {
-            prop_assert_eq!(ring.pop_completion(), Some(front), "drain order violated");
-        }
-        prop_assert_eq!(ring.pop_completion(), None, "closed + drained signals None");
-        let rs = ring.ring_stats();
-        prop_assert_eq!(rs.enqueued, accepted, "the dropped post-close push must not count");
-        prop_assert_eq!(rs.dequeued, accepted);
+        prop_assert_eq!(rs.enqueued, rs.dequeued, "drained queue must balance");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The assembled pipeline under random warm submit / coalesce /
-    /// cancel interleavings racing the live lookup stage: after a full
+    /// The assembled service under random warm submit / coalesce /
+    /// cancel interleavings racing a live solve worker: after a full
     /// drain (shutdown), every kept ticket holds exactly one response
     /// (nothing lost, nothing double-delivered), and the admission
     /// accounting closes exactly — every non-coalesced submission is
-    /// either completed or cancelled, every ring balances.
+    /// either completed or cancelled, every queue balances.
     #[test]
     fn random_warm_interleavings_conserve_completions(
         ops in proptest::collection::vec((0u64..2, 0u8..10, 0u8..4), 1..16)
@@ -259,15 +213,16 @@ proptest! {
                 coalesced_seen += 1;
             }
             if action == 0 {
-                // A client disconnecting immediately: races the lookup
-                // stage — either cancelled in-ring or served to nobody.
+                // A client disconnecting immediately: a warm hit was
+                // already delivered at admission, so this only drops
+                // the buffered response.
                 drop(t);
             } else {
                 kept.push(t);
             }
         }
         park.wait().expect("park");
-        // Shutdown drains every stage; buffered responses stay readable.
+        // Shutdown drains the solve queue; buffered responses stay readable.
         service.shutdown();
         for t in kept {
             let (result, extras) = t.wait_counting_duplicates();

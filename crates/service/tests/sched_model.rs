@@ -1,4 +1,4 @@
-//! Model-checked interleaving tests for the pipeline's sync sites.
+//! Model-checked interleaving tests for the service's sync sites.
 //!
 //! Run with `cargo test -p reqisc-service --features sched-model --test
 //! sched_model`. Every test body builds its shared state *inside* the
@@ -7,20 +7,24 @@
 //! deterministic — the three rules that make a recorded failure
 //! schedule replayable.
 //!
-//! The tests pin the PR 5/7 conservation laws across **all** bounded
-//! interleavings of small configs, not just the ones a lucky
+//! The models mirror `service.rs`: one inflight lock guarding the
+//! waiter map and the `done_seq` counter, one bounded solve queue, and
+//! the solve workers. They pin the conservation laws across **all**
+//! bounded interleavings of small configs, not just the ones a lucky
 //! wall-clock run happens to hit:
 //!
-//! * a queue/ring push wakes a blocked pop (no lost `Condvar` wakeup —
+//! * a queue push wakes a blocked pop (no lost `Condvar` wakeup —
 //!   `queue_push_wakes_blocked_pop` is the seeded-violation target of
 //!   the CI `sched-check` smoke, which deletes `try_push`'s
 //!   `notify_one` and expects a deadlock report with a schedule);
-//! * lookup's claim-and-route transfer vs. last-waiter-out
-//!   cancellation: the job is found in exactly one ring, always
-//!   (`admitted == completed + cancelled`);
+//! * a same-key admission racing last-waiter-out cancellation and a
+//!   solve worker conserves the job (`admitted == delivered +
+//!   cancelled`, and the surviving waiter hears exactly once);
 //! * two coalesced waiters racing last-waiter-out cancel exactly once;
-//! * shutdown with in-flight solves drains every ring balanced
-//!   (`enqueued == dequeued`, `delivered == admitted`).
+//! * shutdown racing admission and an in-flight solve drains balanced;
+//! * a warm delivery racing a solve completion reaches the waiters in
+//!   strictly increasing `done_seq` order — and the explorer catches
+//!   the twin that assigns `done_seq` outside the inflight lock.
 
 #![cfg(feature = "sched-model")]
 
@@ -28,7 +32,7 @@ use reqisc_sched::thread::spawn;
 use reqisc_sched::{check, explore, replay, ModelConfig};
 use reqisc_service::sync::atomic::{AtomicU64, Ordering};
 use reqisc_service::sync::{LockRecover, Mutex};
-use reqisc_service::{FifoRing, JobQueue, TryPop, DEFAULT_PRIORITY};
+use reqisc_service::{JobQueue, DEFAULT_PRIORITY};
 use std::sync::Arc;
 
 /// `JobQueue::try_push` must wake a consumer blocked in `pop`. This is
@@ -48,157 +52,130 @@ fn queue_push_wakes_blocked_pop() {
     });
 }
 
-/// Same wakeup law for the completion ring: `push_completion` must
-/// wake a dispatcher blocked in `pop_completion`.
-#[test]
-fn ring_push_wakes_blocked_pop() {
-    check("ring_push_wakes_blocked_pop", ModelConfig::default(), || {
-        let r = Arc::new(FifoRing::<u32>::new());
-        let rc = r.clone();
-        let dispatcher = spawn(move || rc.pop_completion());
-        assert!(r.push_completion(9), "ring is open");
-        let got = dispatcher.join().expect("dispatcher ran to completion");
-        assert_eq!(got, Some(9), "blocked pop_completion observed the completion");
-    });
+/// The inflight state of one compile key, as `service.rs` keeps it:
+/// the waiter ids registered for the queued/running job (`None` = no
+/// job in flight), the global `done_seq`, and the responses each waiter
+/// received, as `(waiter, done_seq)` pairs in arrival order.
+#[derive(Default)]
+struct Inflight {
+    waiters: Option<Vec<u64>>,
+    done_seq: u64,
+    received: Vec<(u64, u64)>,
 }
 
-/// The lookup stage's claim-and-route transfer (`service.rs
-/// lookup_loop`) holds the inflight lock across `try_pop` + route, so
-/// last-waiter-out cancellation (`WaiterGuard::drop`), which removes
-/// ring entries under the same lock, always finds the job in exactly
-/// one ring: `submission.remove_first || solve.remove_first` succeeds
-/// in every interleaving and the admission ledger stays balanced.
-#[test]
-fn lookup_claim_vs_cancel_conserves_the_job() {
-    check("lookup_claim_vs_cancel", ModelConfig::default(), || {
-        let submission = Arc::new(JobQueue::<u32>::new(2));
-        let solve = Arc::new(JobQueue::<u32>::new(2));
-        // `true` = the key is still in the inflight map (one waiter).
-        let inflight = Arc::new(Mutex::new(true));
-        let cancelled = Arc::new(AtomicU64::new(0));
-        submission.try_push(1, DEFAULT_PRIORITY).expect("queue has room");
-
-        let (sub_l, solve_l, infl_l) = (submission.clone(), solve.clone(), inflight.clone());
-        let lookup = spawn(move || {
-            // Mirrors lookup_loop: the inflight lock spans pop + push.
-            let guard = infl_l.lock_recover();
-            if let TryPop::Job(job, priority) = sub_l.try_pop() {
-                solve_l.try_push(job, priority).expect("solve ring has room");
-            }
-            drop(guard);
-        });
-
-        let (sub_c, solve_c, infl_c, cancelled_c) =
-            (submission.clone(), solve.clone(), inflight.clone(), cancelled.clone());
-        let cancel = spawn(move || {
-            // Mirrors WaiterGuard::drop: remove the key, then pull the
-            // job out of whichever ring still holds it — same lock.
-            let mut guard = infl_c.lock_recover();
-            if *guard {
-                *guard = false;
-                if sub_c.remove_first(|_| true) || solve_c.remove_first(|_| true) {
-                    cancelled_c.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            drop(guard);
-        });
-
-        lookup.join().expect("lookup ran to completion");
-        cancel.join().expect("cancel ran to completion");
-        assert_eq!(
-            cancelled.load(Ordering::Relaxed),
-            1,
-            "cancellation lost the in-flight job"
-        );
-        assert!(submission.is_empty() && solve.is_empty(), "no ring retains the job");
-    });
+impl Inflight {
+    /// `Inner::deliver`: with the lock held, assign the next `done_seq`
+    /// and send it to every waiter.
+    fn deliver(&mut self, waiters: &[u64]) {
+        self.done_seq += 1;
+        for &w in waiters {
+            self.received.push((w, self.done_seq));
+        }
+    }
 }
 
-/// The same scenario with the bug the lock order exists to prevent:
-/// dropping the inflight lock between the claim (`try_pop`) and the
-/// route (`try_push`) opens a window where cancellation finds the job
-/// in *neither* ring and the admission ledger leaks. The explorer
-/// must find that interleaving and hand back a deterministic,
-/// replayable schedule.
+/// A same-key resubmission (`submit_compile`) racing the last waiter's
+/// cancel (`WaiterGuard::drop`) while a solve worker drains the queue.
+/// Admission either coalesces onto the job or — once the cancel removed
+/// the key — misses the (cold) warm tiers and queues a fresh job, all
+/// inside one inflight critical section; the cancel removes the waiter
+/// and the queue entry under the same lock. In every interleaving each
+/// admitted job ends exactly one way (delivered or cancelled), the
+/// resubmitted waiter hears exactly once, and the queue ends empty.
 #[test]
-fn explorer_catches_unlocked_transfer_race() {
-    let buggy = || {
-        let submission = Arc::new(JobQueue::<u32>::new(2));
+fn admission_probe_vs_cancel_conserves_the_job() {
+    check("admission_probe_vs_cancel", ModelConfig::default(), || {
         let solve = Arc::new(JobQueue::<u32>::new(2));
-        let inflight = Arc::new(Mutex::new(true));
-        let cancelled = Arc::new(AtomicU64::new(0));
-        submission.try_push(1, DEFAULT_PRIORITY).expect("queue has room");
+        let inflight = Arc::new(Mutex::new(Inflight {
+            waiters: Some(vec![1]),
+            ..Inflight::default()
+        }));
+        let (admitted, delivered, cancelled) =
+            (Arc::new(AtomicU64::new(1)), Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        solve.try_push(1, DEFAULT_PRIORITY).expect("queue has room");
 
-        let (sub_l, solve_l, infl_l) = (submission.clone(), solve.clone(), inflight.clone());
-        let lookup = spawn(move || {
-            let guard = infl_l.lock_recover();
-            let popped = sub_l.try_pop();
-            drop(guard); // BUG: transfer window with no lock held
-            if let TryPop::Job(job, priority) = popped {
-                solve_l.try_push(job, priority).expect("solve ring has room");
+        let (q, infl, del) = (solve.clone(), inflight.clone(), delivered.clone());
+        let worker = spawn(move || {
+            // Mirrors solve_loop: claim, solve unlocked, deliver locked.
+            while q.pop().is_some() {
+                let mut st = infl.lock_recover();
+                let waiters = st.waiters.take().unwrap_or_default();
+                st.deliver(&waiters);
+                drop(st);
+                del.fetch_add(1, Ordering::Relaxed);
             }
         });
 
-        let (sub_c, solve_c, infl_c, cancelled_c) =
-            (submission.clone(), solve.clone(), inflight.clone(), cancelled.clone());
+        let (q, infl, can) = (solve.clone(), inflight.clone(), cancelled.clone());
         let cancel = spawn(move || {
-            let mut guard = infl_c.lock_recover();
-            if *guard {
-                *guard = false;
-                if sub_c.remove_first(|_| true) || solve_c.remove_first(|_| true) {
-                    cancelled_c.fetch_add(1, Ordering::Relaxed);
+            let mut st = infl.lock_recover();
+            if let Some(list) = st.waiters.as_mut() {
+                list.retain(|&w| w != 1);
+                if list.is_empty() {
+                    st.waiters = None;
+                    if q.remove_first(|_| true) {
+                        can.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
             }
-            drop(guard);
+            drop(st);
         });
 
-        lookup.join().expect("lookup ran to completion");
+        let (q, infl, adm) = (solve.clone(), inflight.clone(), admitted.clone());
+        let admit = spawn(move || {
+            let mut st = infl.lock_recover();
+            match st.waiters.as_mut() {
+                Some(list) => list.push(2),
+                // The probe misses (the key was never solved), so the
+                // job queues and registers in the same critical section.
+                None => {
+                    q.try_push(2, DEFAULT_PRIORITY).expect("queue has room");
+                    st.waiters = Some(vec![2]);
+                    adm.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            drop(st);
+        });
+
         cancel.join().expect("cancel ran to completion");
+        admit.join().expect("admission ran to completion");
+        solve.close();
+        worker.join().expect("worker drained the queue");
+
         assert_eq!(
-            cancelled.load(Ordering::Relaxed),
-            1,
-            "cancellation lost the in-flight job"
+            delivered.load(Ordering::Relaxed) + cancelled.load(Ordering::Relaxed),
+            admitted.load(Ordering::Relaxed),
+            "an admitted job was lost or ended twice"
         );
-    };
-
-    let report = explore(ModelConfig::default(), buggy);
-    let failure = report.failure.expect("the unlocked transfer race must be found");
-    assert!(
-        failure.message.contains("cancellation lost the in-flight job"),
-        "failure is the leaked admission slot, got: {}",
-        failure.message
-    );
-    assert!(!failure.trace.is_empty(), "failure carries the step trace");
-    assert!(!failure.schedule.is_empty(), "failure carries a replay schedule");
-
-    // The schedule is a deterministic reproducer, not a one-off.
-    let again = replay(ModelConfig::default(), &failure.schedule, buggy);
-    let refound = again.failure.expect("replaying the schedule reproduces the race");
-    assert_eq!(refound.message, failure.message);
+        let st = inflight.lock_recover();
+        let heard = st.received.iter().filter(|(w, _)| *w == 2).count();
+        assert_eq!(heard, 1, "the resubmitted waiter must hear exactly once");
+        assert!(st.waiters.is_none(), "no waiter is left registered");
+        assert!(solve.is_empty(), "the queue retains no job");
+    });
 }
 
 /// Two coalesced waiters racing `WaiterGuard::drop`: whichever leaves
-/// last — under the inflight lock — does the ring removal and the
+/// last — under the inflight lock — does the queue removal and the
 /// `cancelled` increment, and does each exactly once in every
 /// interleaving.
 #[test]
 fn coalesced_waiters_cancel_exactly_once() {
     check("coalesced_waiters_last_out", ModelConfig::default(), || {
-        let submission = Arc::new(JobQueue::<u32>::new(2));
+        let solve = Arc::new(JobQueue::<u32>::new(2));
         // The inflight map's waiter list for the one shared key.
         let waiters = Arc::new(Mutex::new(vec![1u64, 2u64]));
         let cancelled = Arc::new(AtomicU64::new(0));
-        submission.try_push(1, DEFAULT_PRIORITY).expect("queue has room");
+        solve.try_push(1, DEFAULT_PRIORITY).expect("queue has room");
 
         let handles: Vec<_> = [1u64, 2u64]
             .into_iter()
             .map(|me| {
-                let (sub, waiters, cancelled) =
-                    (submission.clone(), waiters.clone(), cancelled.clone());
+                let (q, waiters, cancelled) = (solve.clone(), waiters.clone(), cancelled.clone());
                 spawn(move || {
                     let mut list = waiters.lock_recover();
                     list.retain(|id| *id != me);
-                    if list.is_empty() && sub.remove_first(|_| true) {
+                    if list.is_empty() && q.remove_first(|_| true) {
                         cancelled.fetch_add(1, Ordering::Relaxed);
                     }
                     drop(list);
@@ -213,76 +190,113 @@ fn coalesced_waiters_cancel_exactly_once() {
             1,
             "exactly one waiter performs the cancellation"
         );
-        assert!(submission.is_empty(), "the job left the ring exactly once");
+        assert!(solve.is_empty(), "the job left the queue exactly once");
     });
 }
 
-/// Shutdown racing in-flight solves: the stages are closed in pipeline
-/// order while the lookup / solve / dispatch threads are mid-transfer.
-/// In every interleaving the rings drain balanced (`enqueued ==
-/// dequeued` on each) and every admitted job is delivered.
+/// Shutdown racing admission and an in-flight solve: `Service::shutdown`
+/// closes the solve queue while a submission may still be pushing and
+/// the worker is mid-solve. In every interleaving the push either lands
+/// before the close (and is delivered) or is rejected, every accepted
+/// job is delivered, and the queue drains balanced (`enqueued ==
+/// dequeued`).
 #[test]
 fn shutdown_with_inflight_solve_drains_balanced() {
-    // One preemption is enough to interleave the close() calls into
-    // every stage handoff; bound 2 here multiplies the schedule count
-    // well past what a test budget buys in extra coverage.
-    let cfg = ModelConfig { max_preemptions: 1, ..ModelConfig::default() };
-    check("shutdown_drains_balanced", cfg, || {
-        let submission = Arc::new(JobQueue::<u32>::new(4));
+    check("shutdown_drains_balanced", ModelConfig::default(), || {
         let solve = Arc::new(JobQueue::<u32>::new(4));
-        let completions = Arc::new(FifoRing::<u32>::new());
-        let delivered = Arc::new(AtomicU64::new(0));
-        const ADMITTED: u64 = 2;
-        for job in 0..ADMITTED {
-            submission.try_push(job as u32, DEFAULT_PRIORITY).expect("queue has room");
-        }
+        let inflight = Arc::new(Mutex::new(Inflight::default()));
+        let accepted = Arc::new(AtomicU64::new(1));
+        solve.try_push(0, DEFAULT_PRIORITY).expect("queue has room");
 
-        let (sub, solve_in) = (submission.clone(), solve.clone());
-        let lookup = spawn(move || loop {
-            match sub.try_pop() {
-                TryPop::Job(job, priority) => {
-                    solve_in.try_push(job, priority).expect("solve ring has room");
-                }
-                TryPop::Closed => return,
-                TryPop::Empty => sub.wait_nonempty(),
+        let (q, infl) = (solve.clone(), inflight.clone());
+        let worker = spawn(move || {
+            while let Some(job) = q.pop() {
+                infl.lock_recover().deliver(&[u64::from(job)]);
             }
         });
 
-        let (solve_out, ring_in) = (solve.clone(), completions.clone());
-        let solver = spawn(move || {
-            while let Some(job) = solve_out.pop() {
-                assert!(ring_in.push_completion(job), "completion ring open while solving");
+        let (q, acc) = (solve.clone(), accepted.clone());
+        let admit = spawn(move || {
+            if q.try_push(1, DEFAULT_PRIORITY).is_ok() {
+                acc.fetch_add(1, Ordering::Relaxed);
             }
         });
 
-        let (ring_out, delivered_d) = (completions.clone(), delivered.clone());
-        let dispatcher = spawn(move || {
-            while ring_out.pop_completion().is_some() {
-                delivered_d.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-
-        // Shutdown order from Service::shutdown: close each stage's
-        // input only after the producing stage has been joined.
-        submission.close();
-        lookup.join().expect("lookup exited on close");
         solve.close();
-        solver.join().expect("solver exited on close");
-        completions.close();
-        dispatcher.join().expect("dispatcher exited on close");
+        admit.join().expect("admission ran to completion");
+        worker.join().expect("worker exited on close");
 
-        assert_eq!(delivered.load(Ordering::Relaxed), ADMITTED, "delivered == admitted");
-        for (name, stats) in [
-            ("submission", submission.ring_stats()),
-            ("solve", solve.ring_stats()),
-            ("completions", completions.ring_stats()),
-        ] {
-            assert_eq!(
-                stats.enqueued, stats.dequeued,
-                "{name} ring drained balanced at shutdown"
-            );
-        }
+        let delivered = inflight.lock_recover().done_seq;
+        assert_eq!(delivered, accepted.load(Ordering::Relaxed), "delivered == accepted");
+        let stats = solve.ring_stats();
+        assert_eq!(stats.enqueued, stats.dequeued, "solve queue drained balanced at shutdown");
     });
+}
+
+/// One warm delivery (at admission) and one solve completion racing to
+/// the same connection. Both deliver through `Inner::deliver` with the
+/// inflight lock held, so responses reach the waiter in strictly
+/// increasing `done_seq` order in every interleaving.
+#[test]
+fn concurrent_deliveries_arrive_in_done_seq_order() {
+    check("deliveries_in_done_seq_order", ModelConfig::default(), || {
+        let inflight = Arc::new(Mutex::new(Inflight::default()));
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let infl = inflight.clone();
+                spawn(move || infl.lock_recover().deliver(&[1]))
+            })
+            .collect();
+        for h in handles {
+            h.join().expect("delivery ran to completion");
+        }
+        let st = inflight.lock_recover();
+        let seqs: Vec<u64> = st.received.iter().map(|&(_, seq)| seq).collect();
+        assert!(seqs.windows(2).all(|w| w[0] < w[1]), "done_seq out of delivery order: {seqs:?}");
+    });
+}
+
+/// The same race with the bug the lock placement exists to prevent:
+/// assigning `done_seq` from an atomic *before* taking the inflight
+/// lock lets the later-numbered delivery overtake the earlier one. The
+/// explorer must find that interleaving and hand back a deterministic,
+/// replayable schedule.
+#[test]
+fn explorer_catches_done_seq_assigned_outside_the_lock() {
+    let buggy = || {
+        let done_seq = Arc::new(AtomicU64::new(0));
+        let inflight = Arc::new(Mutex::new(Inflight::default()));
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let (seq, infl) = (done_seq.clone(), inflight.clone());
+                spawn(move || {
+                    let mine = seq.fetch_add(1, Ordering::Relaxed) + 1; // BUG: unlocked
+                    infl.lock_recover().received.push((1, mine));
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().expect("delivery ran to completion");
+        }
+        let st = inflight.lock_recover();
+        let seqs: Vec<u64> = st.received.iter().map(|&(_, seq)| seq).collect();
+        assert!(seqs.windows(2).all(|w| w[0] < w[1]), "done_seq out of delivery order: {seqs:?}");
+    };
+
+    let report = explore(ModelConfig::default(), buggy);
+    let failure = report.failure.expect("the unlocked done_seq race must be found");
+    assert!(
+        failure.message.contains("done_seq out of delivery order"),
+        "failure is the reordered delivery, got: {}",
+        failure.message
+    );
+    assert!(!failure.trace.is_empty(), "failure carries the step trace");
+    assert!(!failure.schedule.is_empty(), "failure carries a replay schedule");
+
+    // The schedule is a deterministic reproducer, not a one-off.
+    let again = replay(ModelConfig::default(), &failure.schedule, buggy);
+    let refound = again.failure.expect("replaying the schedule reproduces the race");
+    assert_eq!(refound.message, failure.message);
 }
 
 /// The shared-segment publish/probe protocol (`reqisc-shmem`), modeled

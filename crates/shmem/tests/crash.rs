@@ -14,12 +14,26 @@ use std::io::BufRead;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 const V: u32 = 4242;
 const CAPACITY: u64 = 4 << 20;
 
 static NEXT: AtomicU32 = AtomicU32::new(0);
+
+/// Serializes the tests that spawn child processes. Between its fork and
+/// its exec, a child briefly holds a copy of every fd of this process —
+/// including another test's segment fd and the flock on it — which can
+/// stop that test's fresh attach from going exclusive (and so from
+/// running the recovery scrub it asserts on).
+static CHILD_TESTS: Mutex<()> = Mutex::new(());
+
+/// Holds [`CHILD_TESTS`] for the rest of the calling test. A failed
+/// test poisons the lock; the next one proceeds anyway.
+fn serialize_child_tests() -> MutexGuard<'static, ()> {
+    CHILD_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn tmp_path(tag: &str) -> PathBuf {
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
@@ -120,6 +134,7 @@ fn shmem_child() {
 /// entries — regardless of where the kill landed.
 #[test]
 fn kill9_random_point_leaves_consistent_segment() {
+    let _serial = serialize_child_tests();
     let path = tmp_path("kill9-random");
     let _c = Cleanup(path.clone());
     let survivor = Segment::attach(&path, CAPACITY, V).expect("parent attach");
@@ -180,6 +195,7 @@ fn kill9_random_point_leaves_consistent_segment() {
 /// entry.
 #[test]
 fn kill9_mid_append_truncates_uncommitted_tail() {
+    let _serial = serialize_child_tests();
     let path = tmp_path("kill9-tail");
     let _c = Cleanup(path.clone());
     const COUNT: u64 = 25;
@@ -226,6 +242,7 @@ fn kill9_mid_append_truncates_uncommitted_tail() {
 #[test]
 fn interleaved_publishes_conserve_union() {
     use proptest::prelude::*;
+    let _serial = serialize_child_tests();
 
     let mut runner = TestRunner::new(ProptestConfig::with_cases(8));
     runner.run(&(1u64..40, 1u64..40), |(n_a, n_b)| {
