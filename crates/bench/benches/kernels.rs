@@ -8,7 +8,7 @@ use rand::SeedableRng;
 use reqisc_compiler::{route, RouteOptions, Router, Topology};
 use reqisc_microarch::{optimal_duration, solve_ea, solve_pulse, Coupling, EaSign};
 use reqisc_qcircuit::{Circuit, Gate};
-use reqisc_qmath::{expm_i_hermitian, haar_su4, kak_decompose, local_invariant_trace, weyl_coords, WeylCoord};
+use reqisc_qmath::{expm_i_hermitian, haar_su4, haar_unitary, kak_decompose, local_invariant_trace, weyl_coords, WeylCoord};
 use reqisc_synthesis::{instantiate, SweepOptions};
 use std::hint::black_box;
 
@@ -99,6 +99,14 @@ fn bench_synthesis_sweep(c: &mut Criterion) {
         b.iter(|| {
             black_box(instantiate(&target, &structure, 3, &SweepOptions::default()).infidelity)
         })
+    });
+    // The search's probe shape on a Haar target, which 5 blocks cannot
+    // reach: the full 80-sweep budget runs for both starts, as in most
+    // sweeps of a cold compile.
+    let haar = haar_unitary(8, &mut StdRng::seed_from_u64(9));
+    let probe = SweepOptions { max_sweeps: 80, restarts: 1, ..SweepOptions::default() };
+    g.bench_function("instantiate_probe_haar_5blocks", |b| {
+        b.iter(|| black_box(instantiate(&haar, &structure, 3, &probe).infidelity))
     });
     g.finish();
 }

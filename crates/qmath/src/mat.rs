@@ -109,7 +109,16 @@ impl CMat {
         &self.data
     }
 
+    /// Mutably borrows the underlying row-major storage.
+    pub fn as_mut_slice(&mut self) -> &mut [C64] {
+        &mut self.data
+    }
+
     /// Matrix product `self · rhs`.
+    ///
+    /// Each entry accumulates from `+0` over the inner index in ascending
+    /// order, skipping exactly-zero left operands; [`CMat::mul_mat_into`]
+    /// shares this order, so both give bit-identical results.
     ///
     /// # Panics
     ///
@@ -117,6 +126,27 @@ impl CMat {
     pub fn mul_mat(&self, rhs: &Self) -> Self {
         assert_eq!(self.cols, rhs.rows, "inner dimension mismatch");
         let mut out = Self::zeros(self.rows, rhs.cols);
+        self.accumulate_product(rhs, &mut out.data);
+        out
+    }
+
+    /// Matrix product `self · rhs` written into `out` (overwritten), for
+    /// hot loops that reuse one buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the inner dimensions disagree or `out` is not
+    /// `self.rows() × rhs.cols()`.
+    pub fn mul_mat_into(&self, rhs: &Self, out: &mut Self) {
+        assert_eq!(self.cols, rhs.rows, "inner dimension mismatch");
+        assert_eq!((out.rows, out.cols), (self.rows, rhs.cols), "output shape mismatch");
+        out.data.fill(ZERO);
+        self.accumulate_product(rhs, &mut out.data);
+    }
+
+    /// Adds `self · rhs` into the zeroed row-major `out`.
+    #[inline]
+    fn accumulate_product(&self, rhs: &Self, out: &mut [C64]) {
         for i in 0..self.rows {
             for k in 0..self.cols {
                 let a = self.data[i * self.cols + k];
@@ -124,13 +154,12 @@ impl CMat {
                     continue;
                 }
                 let row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                let orow = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
+                let orow = &mut out[i * rhs.cols..(i + 1) * rhs.cols];
                 for (o, &b) in orow.iter_mut().zip(row) {
                     *o += a * b;
                 }
             }
         }
-        out
     }
 
     /// Matrix–vector product `self · v`.
@@ -554,6 +583,16 @@ mod tests {
         assert!(y.is_hermitian(1e-15));
         assert!(y.trace().abs() < 1e-15);
         assert!(y.adjoint().approx_eq(&y, 1e-15));
+    }
+
+    #[test]
+    fn mul_mat_into_is_bit_identical_to_mul_mat() {
+        let a = CMat::from_fn(3, 4, |i, j| C64::new(i as f64 - 0.3 * j as f64, (i * j) as f64 / 7.0));
+        let b = CMat::from_fn(4, 2, |i, j| C64::new(0.1 * (i + j) as f64, -(i as f64) / 3.0));
+        // A dirty buffer is overwritten, not accumulated into.
+        let mut out = CMat::from_fn(3, 2, |_, _| C64::new(5.0, -5.0));
+        a.mul_mat_into(&b, &mut out);
+        assert_eq!(out.fingerprint(), a.mul_mat(&b).fingerprint());
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Stage-isolation and drain tests of the pipelined service core:
+//! Stage-isolation and drain tests of the service core (admission probe
+//! plus one solve queue):
 //!
 //! * **stall isolation, end to end** — a real `reqiscd` child process
 //!   with the `REQISC_DEBUG_SOLVE_DELAY_MS` knob slowing every cold
-//!   solve: warm requests must short-circuit in the lookup stage and
+//!   solve: warm requests must be answered by the admission probe and
 //!   complete while cold jobs occupy the (single) solve worker, proven
 //!   by `done_seq` response ordering and the stage counters — never by
 //!   wall time;
@@ -10,9 +11,10 @@
 //!   `ServiceConfig::solve_delay_ms`, with before/after stage-counter
 //!   deltas;
 //! * **shutdown drain** — shutdown while jobs sit in every stage
-//!   (submission ring, solve ring, warm-served completion, a cancelled
-//!   orphan): everything is responded or cleanly cancelled, every ring
-//!   balances to empty, and the store snapshot still lands on disk.
+//!   (parked solve worker, solve queue, warm hit answered at admission, a
+//!   cancelled orphan): everything is responded or cleanly cancelled, the
+//!   stage counters balance to empty, and the store snapshot still lands
+//!   on disk.
 
 use reqisc_compiler::{Compiler, LoadOutcome, Pipeline};
 use reqisc_qcircuit::{Circuit, Gate};
@@ -126,8 +128,8 @@ fn stalled_solve_stage_does_not_block_warm_responses_e2e() {
     let seq_prime = done_seq(&prime);
 
     // Phase 2: two never-seen cold programs, then the warm re-request —
-    // all in one write, so the warm request genuinely queues behind the
-    // colds at the submission ring.
+    // all in one write, so the warm request genuinely arrives behind the
+    // colds and is admitted while they occupy the solve queue.
     let mut batch = String::new();
     batch.push_str("{\"id\":2,\"op\":\"compile\",\"pipeline\":\"qiskit\",\"qasm\":\"qubits 2\\ncx 0 1\\nrz 1 3.0e-1\\n\"}\n");
     batch.push_str("{\"id\":3,\"op\":\"compile\",\"pipeline\":\"qiskit\",\"qasm\":\"qubits 2\\ncx 0 1\\nrz 1 4.0e-1\\n\"}\n");
@@ -231,9 +233,9 @@ fn solve_delay_config_isolates_warm_traffic_in_process() {
 }
 
 /// Shutdown with work in *every* stage: a parked solve worker, two cold
-/// jobs still ringed, a warm job short-circuited, and an orphan whose
+/// jobs still queued, a warm job short-circuited, and an orphan whose
 /// only ticket was dropped. Everything must be responded or cleanly
-/// cancelled, every ring must balance to empty, and the store snapshot
+/// cancelled, every stage counter must balance to empty, and the store snapshot
 /// must land — jobs never strand, results never vanish.
 #[test]
 fn shutdown_drains_jobs_across_all_stages() {
@@ -248,7 +250,7 @@ fn shutdown_drains_jobs_across_all_stages() {
         },
     );
     // Prime the warm program, then park the worker so the jobs below
-    // are pinned in their rings when shutdown starts.
+    // are pinned in the solve queue when shutdown starts.
     let warm_fp = service
         .submit_compile(tiny(0), Pipeline::Qiskit, DEFAULT_PRIORITY)
         .expect("prime")
@@ -261,7 +263,7 @@ fn shutdown_drains_jobs_across_all_stages() {
     let cold1 = service.submit_compile(tiny(30), Pipeline::Qiskit, DEFAULT_PRIORITY).expect("c1");
     let cold2 = service.submit_compile(tiny(31), Pipeline::Qiskit, DEFAULT_PRIORITY).expect("c2");
     let warm = service.submit_compile(tiny(0), Pipeline::Qiskit, DEFAULT_PRIORITY).expect("warm");
-    // The orphan: its only client disconnects while the job is ringed
+    // The orphan: its only client disconnects while the job is queued
     // (the worker is parked, so it cannot have been claimed).
     let orphan = service.submit_compile(tiny(32), Pipeline::Qiskit, DEFAULT_PRIORITY).expect("o");
     drop(orphan);
@@ -297,7 +299,7 @@ fn shutdown_drains_jobs_across_all_stages() {
     }
 
     // The shutdown snapshot landed: a second instance warm-starts from
-    // disk and serves the drained cold job from the lookup stage.
+    // disk and serves the drained cold job from the admission probe.
     let second = Service::start_with_compiler(
         small_compiler(),
         ServiceConfig { workers: 1, cache_dir: Some(dir.clone()), ..ServiceConfig::default() },
